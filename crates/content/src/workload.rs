@@ -5,11 +5,15 @@
 //! stream that drives a simulation. Both draw from the same interest
 //! profile, producing the interest-based locality the routing heuristic
 //! exploits.
+//!
+//! The generator also keeps the inverted `FileId → holders` index, so
+//! "who can answer this query" costs O(holders) instead of a scan over
+//! every library. Libraries only grow through
+//! [`WorkloadGen::add_replica`], which updates both sides together.
 
 use crate::catalog::{Catalog, FileId, Topic};
 use crate::interest::InterestProfile;
 use arq_simkern::Rng64;
-use std::collections::BTreeSet;
 
 /// What a query asks for. Matching is by exact file — the Gnutella
 /// analogue of "this set of keywords identifies the song I want". The
@@ -22,10 +26,12 @@ pub struct QueryKey {
     pub topic: Topic,
 }
 
-/// The set of files one node shares.
+/// The set of files one node shares, as a sorted, deduplicated vector:
+/// a few dozen ids per node, so binary search beats a tree and the
+/// memory is one allocation of exactly the library's size.
 #[derive(Debug, Clone, Default)]
 pub struct Library {
-    files: BTreeSet<FileId>,
+    files: Vec<FileId>,
 }
 
 impl Library {
@@ -36,19 +42,20 @@ impl Library {
 
     /// Fills a library with `n` files drawn from the node's interests.
     pub fn sample(catalog: &Catalog, profile: &InterestProfile, n: usize, rng: &mut Rng64) -> Self {
-        let mut files = BTreeSet::new();
+        let mut lib = Library::default();
         let mut guard = 0;
-        while files.len() < n && guard < n * 50 {
+        while lib.len() < n && guard < n * 50 {
             let topic = profile.sample_topic(rng);
-            files.insert(catalog.sample_file(topic, rng));
+            lib.insert(catalog.sample_file(topic, rng));
             guard += 1;
         }
-        Library { files }
+        lib.files.shrink_to_fit();
+        lib
     }
 
     /// Whether the library contains `f`.
     pub fn contains(&self, f: FileId) -> bool {
-        self.files.contains(&f)
+        self.files.binary_search(&f).is_ok()
     }
 
     /// Whether this library can answer `q`.
@@ -66,15 +73,20 @@ impl Library {
         self.files.is_empty()
     }
 
-    /// Iterates over shared files.
+    /// Iterates over shared files in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
         self.files.iter().copied()
     }
 
-    /// Adds a file (e.g. after a successful download — downloads spread
-    /// content in real networks).
-    pub fn insert(&mut self, f: FileId) -> bool {
-        self.files.insert(f)
+    /// Adds a file, returning whether it was new.
+    fn insert(&mut self, f: FileId) -> bool {
+        match self.files.binary_search(&f) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.files.insert(pos, f);
+                true
+            }
+        }
     }
 }
 
@@ -107,6 +119,8 @@ pub struct WorkloadGen {
     cfg: WorkloadConfig,
     profiles: Vec<InterestProfile>,
     libraries: Vec<Library>,
+    /// `holders[f]`: the nodes whose library holds file `f`, ascending.
+    holders: Vec<Vec<u32>>,
 }
 
 impl WorkloadGen {
@@ -128,10 +142,22 @@ impl WorkloadGen {
             profiles.push(profile);
             libraries.push(lib);
         }
+        // Two passes so every holder list is allocated at its exact size.
+        let mut counts = vec![0usize; catalog.len()];
+        for f in libraries.iter().flat_map(Library::iter) {
+            counts[f.0 as usize] += 1;
+        }
+        let mut holders: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, lib) in libraries.iter().enumerate() {
+            for f in lib.iter() {
+                holders[f.0 as usize].push(i as u32);
+            }
+        }
         WorkloadGen {
             cfg,
             profiles,
             libraries,
+            holders,
         }
     }
 
@@ -150,9 +176,17 @@ impl WorkloadGen {
         &self.libraries[i]
     }
 
-    /// Mutable library access (downloads).
-    pub fn library_mut(&mut self, i: usize) -> &mut Library {
-        &mut self.libraries[i]
+    /// Adds file `f` to node `i`'s library (e.g. after a successful
+    /// download — downloads spread content in real networks), keeping
+    /// the holders index in step. Returns whether the file was new.
+    pub fn add_replica(&mut self, i: usize, f: FileId) -> bool {
+        let added = self.libraries[i].insert(f);
+        if added {
+            let list = &mut self.holders[f.0 as usize];
+            let pos = list.partition_point(|&h| (h as usize) < i);
+            list.insert(pos, i as u32);
+        }
+        added
     }
 
     /// The interest profile of node `i`.
@@ -168,15 +202,18 @@ impl WorkloadGen {
         QueryKey { file, topic }
     }
 
-    /// All nodes whose library can answer `q` — ground truth for
-    /// hit-rate accounting.
+    /// All nodes whose library can answer `q`, ascending — ground truth
+    /// for hit-rate accounting.
     pub fn holders(&self, q: QueryKey) -> Vec<usize> {
-        self.libraries
+        self.holder_ids(q.file)
             .iter()
-            .enumerate()
-            .filter(|(_, lib)| lib.matches(q))
-            .map(|(i, _)| i)
+            .map(|&h| h as usize)
             .collect()
+    }
+
+    /// The nodes holding file `f`, ascending, borrowed from the index.
+    pub fn holder_ids(&self, f: FileId) -> &[u32] {
+        &self.holders[f.0 as usize]
     }
 }
 
@@ -184,6 +221,7 @@ impl WorkloadGen {
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use std::collections::BTreeSet;
 
     fn setup() -> (Catalog, WorkloadGen, Rng64) {
         let mut rng = Rng64::seed_from(42);
@@ -283,8 +321,82 @@ mod tests {
         let target = (0..gen.len())
             .find(|&i| !gen.library(i).matches(q))
             .unwrap();
-        gen.library_mut(target).insert(q.file);
+        assert!(gen.add_replica(target, q.file));
         assert_eq!(gen.holders(q).len(), before + 1);
+    }
+
+    #[test]
+    fn holders_index_matches_a_library_scan_after_replicas() {
+        let (catalog, mut gen, mut rng) = setup();
+        let scan = |gen: &WorkloadGen, f: FileId| -> Vec<usize> {
+            (0..gen.len())
+                .filter(|&i| gen.library(i).contains(f))
+                .collect()
+        };
+        for _ in 0..2_000 {
+            let node = rng.index(gen.len());
+            let f = FileId(rng.index(catalog.len()) as u32);
+            let had = gen.library(node).contains(f);
+            assert_eq!(gen.add_replica(node, f), !had);
+            assert!(gen.library(node).contains(f));
+        }
+        for i in 0..catalog.len() {
+            let f = FileId(i as u32);
+            let q = QueryKey {
+                file: f,
+                topic: catalog.meta(f).topic,
+            };
+            let expect = scan(&gen, f);
+            assert_eq!(gen.holders(q), expect, "file {i}");
+            let ids: Vec<usize> = gen.holder_ids(f).iter().map(|&h| h as usize).collect();
+            assert_eq!(ids, expect, "file {i}");
+        }
+    }
+
+    #[test]
+    fn library_sample_draws_like_a_btreeset() {
+        // The reference is the tree-set library this type replaced: the
+        // same files, in the same order, after the same RNG draws.
+        fn reference(
+            catalog: &Catalog,
+            profile: &InterestProfile,
+            n: usize,
+            rng: &mut Rng64,
+        ) -> Vec<FileId> {
+            let mut files = BTreeSet::new();
+            let mut guard = 0;
+            while files.len() < n && guard < n * 50 {
+                let topic = profile.sample_topic(rng);
+                files.insert(catalog.sample_file(topic, rng));
+                guard += 1;
+            }
+            files.into_iter().collect()
+        }
+        let mut rng = Rng64::seed_from(3);
+        let catalog = Catalog::generate(
+            CatalogConfig {
+                topics: 6,
+                files_per_topic: 30,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        for seed in 0..50 {
+            let mut pr = Rng64::seed_from(seed);
+            let profile = InterestProfile::sample(catalog.topic_count(), 2, &mut pr);
+            // Up to 120 files from ~60 reachable ones exercises the guard.
+            let n = 1 + (seed as usize * 7) % 120;
+            let mut a = Rng64::seed_from(1_000 + seed);
+            let mut b = a.clone();
+            let lib = Library::sample(&catalog, &profile, n, &mut a);
+            let want = reference(&catalog, &profile, n, &mut b);
+            assert_eq!(lib.iter().collect::<Vec<_>>(), want, "seed {seed}");
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "rng state diverged at seed {seed}"
+            );
+        }
     }
 
     #[test]

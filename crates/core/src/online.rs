@@ -152,10 +152,14 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_never_see_torn_state() {
+        use std::sync::atomic::AtomicBool;
         let h = RuleHandle::new();
         let reader = h.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let stop = Arc::new(AtomicBool::new(false));
+        // Lookups done so far, and whether each generation (42, 77) was seen.
+        let lookups = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let (stop2, lookups2, seen2) = (Arc::clone(&stop), Arc::clone(&lookups), Arc::clone(&seen));
         let t = std::thread::spawn(move || {
             let mut decisions = 0u64;
             while !stop2.load(Ordering::Relaxed) {
@@ -164,16 +168,28 @@ mod tests {
                     // or return an impossible consequent.
                     RouteDecision::Rules(v) => {
                         assert!(v == vec![HostId(42)] || v == vec![HostId(77)], "{v:?}");
+                        seen2[usize::from(v[0] == HostId(77))].store(true, Ordering::Relaxed);
                     }
                     RouteDecision::Flood => {}
                 }
                 decisions += 1;
+                lookups2.fetch_add(1, Ordering::Relaxed);
             }
             decisions
         });
-        for i in 0..200 {
+        // On a busy host every publish could finish before the reader is
+        // first scheduled, so start only once it has looked up once, and
+        // keep alternating generations until it has seen both. A reader
+        // that panicked ends the wait; `join` then reports its failure.
+        while lookups.load(Ordering::Relaxed) == 0 && !t.is_finished() {
+            std::thread::yield_now();
+        }
+        let both_seen = || seen.iter().all(|s| s.load(Ordering::Relaxed));
+        let mut i = 0;
+        while (i < 200 || !both_seen()) && !t.is_finished() {
             let via = if i % 2 == 0 { 42 } else { 77 };
             h.publish(mine_pairs(&block(1, via, 10), 5));
+            i += 1;
         }
         stop.store(true, Ordering::Relaxed);
         assert!(t.join().unwrap() > 0);

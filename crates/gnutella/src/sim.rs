@@ -625,11 +625,8 @@ impl<P: ForwardingPolicy> Network<P> {
     }
 
     fn apply_churn_until(&mut self, horizon: SimTime) {
-        let Some(churn) = self.churn.as_mut() else {
-            return;
-        };
         let mut changed = false;
-        while let Some(ev) = churn.next_before(horizon) {
+        while let Some(ev) = self.churn.as_mut().and_then(|c| c.next_before(horizon)) {
             if self.crashed[ev.node.index()] {
                 continue; // crashed nodes neither leave nor rejoin
             }
@@ -643,40 +640,53 @@ impl<P: ForwardingPolicy> Network<P> {
                     self.store.reset(ev.node);
                     self.crashed[ev.node.index()] = true;
                 }
-                ChurnKind::Join => {
-                    self.graph.rejoin(ev.node);
-                    let mut wired = false;
-                    if let Some(ttl) = self.cfg.rejoin_via_ping {
-                        let live: Vec<NodeId> =
-                            self.graph.live_nodes().filter(|&n| n != ev.node).collect();
-                        if !live.is_empty() {
-                            let bootstrap = live[self.net_rng.index(live.len())];
-                            wired = !crate::discovery::rewire_via_discovery(
-                                &mut self.graph,
-                                ev.node,
-                                bootstrap,
-                                ttl,
-                                self.cfg.rejoin_degree,
-                                &mut self.net_rng,
-                            )
-                            .is_empty();
-                        }
-                    }
-                    if !wired {
-                        rewire_join(
-                            &mut self.graph,
-                            ev.node,
-                            self.cfg.rejoin_degree,
-                            &mut self.net_rng,
-                        );
-                    }
-                }
+                ChurnKind::Join => self.rejoin_and_wire(ev.node),
             }
             changed = true;
         }
         if changed {
             self.policy.on_topology_change(&self.graph);
         }
+    }
+
+    /// Brings `node` back online and wires it: through a ping crawl from
+    /// a uniform live bootstrap peer when `rejoin_via_ping` is set, else
+    /// — or when the crawl finds no one — to uniform random live peers.
+    fn rejoin_and_wire(&mut self, node: NodeId) {
+        self.graph.rejoin(node);
+        let degree = self.cfg.rejoin_degree;
+        let others = self.graph.live_count() - 1;
+        if let (Some(ttl), true) = (self.cfg.rejoin_via_ping, others > 0) {
+            // A uniform rank among the other live nodes (one
+            // `index(others)` draw), stepping over `node`'s own rank.
+            let k = self.net_rng.index(others);
+            let skip = usize::from(k >= self.graph.live_rank(node));
+            let bootstrap = self
+                .graph
+                .nth_live(k + skip)
+                .expect("rank below live count");
+            let wired = crate::discovery::rewire_via_discovery(
+                &mut self.graph,
+                node,
+                bootstrap,
+                ttl,
+                degree,
+                &mut self.net_rng,
+            );
+            if !wired.is_empty() {
+                return;
+            }
+        }
+        rewire_join(&mut self.graph, node, degree, &mut self.net_rng);
+    }
+
+    /// Whether a live node other than `issuer` holds `key`'s file — the
+    /// ground truth for "answerable", read from the holders index.
+    fn has_live_holder(&self, key: QueryKey, issuer: NodeId) -> bool {
+        self.workload
+            .holder_ids(key.file)
+            .iter()
+            .any(|&h| h != issuer.0 && self.graph.is_alive(NodeId(h)))
     }
 
     /// Runs every adaptation round whose boundary is at or before
@@ -1090,9 +1100,7 @@ impl<P: ForwardingPolicy> Network<P> {
             self.obs.observe_query_latency(latency.ticks());
             if self.cfg.download_on_hit {
                 // First hit: fetch the file, becoming a new replica.
-                self.workload
-                    .library_mut(issuer.index())
-                    .insert(msg.key.file);
+                self.workload.add_replica(issuer.index(), msg.key.file);
             }
         }
     }
@@ -1182,22 +1190,21 @@ impl<P: ForwardingPolicy> Network<P> {
             match event {
                 Event::Issue { qidx } => {
                     debug_assert_eq!(qidx, self.queries.len());
-                    // Pick a live issuer; a dead one simply skips its turn
-                    // (recorded as unanswerable, zero-message query).
-                    let live: Vec<NodeId> = self.graph.live_nodes().collect();
-                    let node = if live.is_empty() {
+                    // Pick a uniform live issuer by rank: exactly one
+                    // `index(live)` draw on the issue stream. A dead one
+                    // simply skips its turn (recorded as unanswerable,
+                    // zero-message query).
+                    let live = self.graph.live_count();
+                    let node = if live == 0 {
                         NodeId(0)
                     } else {
-                        *self.issue_rng.pick(&live)
+                        let k = self.issue_rng.index(live);
+                        self.graph.nth_live(k).expect("rank below live count")
                     };
                     let key =
                         self.workload
                             .next_query(node.index(), &self.catalog, &mut self.issue_rng);
-                    let answerable = self
-                        .workload
-                        .holders(key)
-                        .into_iter()
-                        .any(|h| h != node.index() && self.graph.is_alive(NodeId(h as u32)));
+                    let answerable = self.has_live_holder(key, node);
                     self.queries.push(LiveQuery {
                         node,
                         key,

@@ -6,6 +6,11 @@
 //! until it rejoins. Adjacency is stored as sorted `Vec<NodeId>` per node:
 //! overlays are sparse (Gnutella averages 3–10 neighbors), so linear scans
 //! beat hashing while keeping iteration order deterministic.
+//!
+//! Liveness is also kept in a Fenwick tree, so the number of live nodes
+//! and "the k-th live node in id order" cost O(log N): simulators draw
+//! a uniform live peer with one RNG draw without materializing the
+//! live-node list.
 
 use std::fmt;
 
@@ -32,6 +37,7 @@ impl fmt::Display for NodeId {
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
     alive: Vec<bool>,
+    live: LiveRanks,
     edges: usize,
 }
 
@@ -41,6 +47,7 @@ impl Graph {
         Graph {
             adj: vec![Vec::new(); n],
             alive: vec![true; n],
+            live: LiveRanks::all_live(n),
             edges: 0,
         }
     }
@@ -60,9 +67,22 @@ impl Graph {
         self.edges
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes. O(1).
     pub fn live_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.live.count
+    }
+
+    /// The `k`-th live node in id order (0-based), or `None` when fewer
+    /// than `k + 1` nodes are live. Equals `live_nodes().nth(k)` in
+    /// O(log N).
+    pub fn nth_live(&self, k: usize) -> Option<NodeId> {
+        self.live.nth(k).map(|i| NodeId(i as u32))
+    }
+
+    /// Number of live nodes with an id below `n`: the position `n` has
+    /// (or would have) in `live_nodes()`. O(log N).
+    pub fn live_rank(&self, n: NodeId) -> usize {
+        self.live.prefix(n.index())
     }
 
     /// Iterator over all node ids.
@@ -86,6 +106,7 @@ impl Graph {
         let id = NodeId(self.adj.len() as u32);
         self.adj.push(Vec::new());
         self.alive.push(true);
+        self.live.push_live();
         id
     }
 
@@ -145,7 +166,9 @@ impl Graph {
     /// Marks `n` as departed and removes all its incident edges, returning
     /// the former neighbor list. Its id remains valid.
     pub fn depart(&mut self, n: NodeId) -> Vec<NodeId> {
-        self.alive[n.index()] = false;
+        if std::mem::replace(&mut self.alive[n.index()], false) {
+            self.live.set(n.index(), false);
+        }
         let former = std::mem::take(&mut self.adj[n.index()]);
         for &m in &former {
             remove_sorted(&mut self.adj[m.index()], n);
@@ -156,7 +179,9 @@ impl Graph {
 
     /// Marks `n` as live again (the caller wires its new edges).
     pub fn rejoin(&mut self, n: NodeId) {
-        self.alive[n.index()] = true;
+        if !std::mem::replace(&mut self.alive[n.index()], true) {
+            self.live.set(n.index(), true);
+        }
     }
 
     /// Degree histogram over live nodes: `result[d]` = number of live
@@ -206,6 +231,89 @@ impl Graph {
             ));
         }
         Ok(())
+    }
+}
+
+/// Fenwick tree over the liveness bits: slot `i` (1-based) holds the
+/// number of live nodes with 0-based ids in `[i - lowbit(i), i)`.
+#[derive(Debug, Clone)]
+struct LiveRanks {
+    tree: Vec<u32>,
+    count: usize,
+}
+
+#[inline]
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
+impl LiveRanks {
+    /// `n` live nodes: every slot covers only live ids, so it holds
+    /// exactly the length of its range.
+    fn all_live(n: usize) -> Self {
+        LiveRanks {
+            tree: (1..=n).map(|i| lowbit(i) as u32).collect(),
+            count: n,
+        }
+    }
+
+    /// Appends one live id in O(log N): the new slot sums itself plus
+    /// the existing slots that tile the rest of its range.
+    fn push_live(&mut self) {
+        let i = self.tree.len() + 1;
+        let stop = i - lowbit(i);
+        let mut sum = 1;
+        let mut j = i - 1;
+        while j > stop {
+            sum += self.tree[j - 1];
+            j -= lowbit(j);
+        }
+        self.tree.push(sum);
+        self.count += 1;
+    }
+
+    /// Flips id `idx` to `live`; the caller guarantees it was not.
+    fn set(&mut self, idx: usize, live: bool) {
+        let mut i = idx + 1;
+        while i <= self.tree.len() {
+            let slot = &mut self.tree[i - 1];
+            *slot = if live { *slot + 1 } else { *slot - 1 };
+            i += lowbit(i);
+        }
+        self.count = if live { self.count + 1 } else { self.count - 1 };
+    }
+
+    /// Number of live ids in `[0, end)`.
+    fn prefix(&self, end: usize) -> usize {
+        let mut sum = 0;
+        let mut i = end.min(self.tree.len());
+        while i > 0 {
+            sum += self.tree[i - 1] as usize;
+            i -= lowbit(i);
+        }
+        sum
+    }
+
+    /// The id of the `k`-th (0-based) live node: descend from the top
+    /// power of two, keeping the longest prefix holding at most `k`
+    /// live ids; the next id is the answer.
+    fn nth(&self, k: usize) -> Option<usize> {
+        if k >= self.count {
+            return None;
+        }
+        let n = self.tree.len();
+        let mut pos = 0;
+        let mut rem = k;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && (self.tree[next - 1] as usize) <= rem {
+                pos = next;
+                rem -= self.tree[next - 1] as usize;
+            }
+            step >>= 1;
+        }
+        Some(pos)
     }
 }
 
@@ -310,9 +418,49 @@ mod tests {
     }
 
     #[test]
+    fn live_ranks_match_a_linear_scan_under_random_churn() {
+        use arq_simkern::Rng64;
+        for seed in 0..20 {
+            let mut rng = Rng64::seed_from(seed);
+            let mut g = Graph::new(rng.index(40));
+            for step in 0..400 {
+                match rng.index(10) {
+                    0 => {
+                        g.add_node();
+                    }
+                    1..=5 if !g.is_empty() => {
+                        g.depart(NodeId(rng.index(g.len()) as u32));
+                    }
+                    _ if !g.is_empty() => g.rejoin(NodeId(rng.index(g.len()) as u32)),
+                    _ => {}
+                }
+                // Double departs and double rejoins must not move a count.
+                if step % 50 == 0 && !g.is_empty() {
+                    let n = NodeId(rng.index(g.len()) as u32);
+                    g.depart(n);
+                    g.depart(n);
+                    let n = NodeId(rng.index(g.len()) as u32);
+                    g.rejoin(n);
+                    g.rejoin(n);
+                }
+                let live: Vec<NodeId> = g.live_nodes().collect();
+                assert_eq!(g.live_count(), live.len(), "seed {seed} step {step}");
+                for k in 0..=live.len() {
+                    assert_eq!(g.nth_live(k), live.get(k).copied(), "seed {seed} k {k}");
+                }
+                for n in g.nodes() {
+                    let rank = live.iter().take_while(|&&m| m < n).count();
+                    assert_eq!(g.live_rank(n), rank, "seed {seed} node {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_graph_stats() {
         let g = Graph::new(0);
         assert!(g.is_empty());
+        assert_eq!(g.nth_live(0), None);
         assert_eq!(g.mean_degree(), 0.0);
         assert_eq!(g.degree_distribution(), vec![0]);
         g.check_invariants().unwrap();
