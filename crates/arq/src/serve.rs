@@ -22,6 +22,15 @@
 //!   "via":[...],"epoch":E}`;
 //! * `{"ev":"stats","id":N}` — snapshot the service counters.
 //!
+//! A frame longer than [`MAX_FRAME_BYTES`] is a framing error. Frames are
+//! decoded in place: [`FrameReader::next_payload`] borrows the payload
+//! from the read buffer, and [`parse_event`] validates it in one pass
+//! with [`json::parse_object_fields`], reading the first `ev`, `src`,
+//! `via`, `id` and `k` without building a JSON tree. The numbers an
+//! event reads must be non-negative integers that fit their type
+//! (`src`/`via` u32, `id` u64, `k` usize); anything else is an in-band
+//! error naming the field, never a silently cast value.
+//!
 //! ## Backpressure and shedding
 //!
 //! Pairs flow to the mining thread through a bounded queue. By default
@@ -52,7 +61,8 @@ use arq_assoc::{DecayedPairCounts, DecayedSnapshot, LossyPairCounts, LossySnapsh
 use arq_core::engine::registry::parse_spec;
 use arq_core::{RouteDecision, RuleHandle};
 use arq_obs::{to_prometheus, Registry};
-use arq_simkern::{json, write_atomic, Histogram, Json};
+use arq_simkern::json::{self, Field};
+use arq_simkern::{write_atomic, Histogram, Json};
 use arq_trace::record::HostId;
 use std::fmt;
 use std::io::{Read, Write};
@@ -96,13 +106,19 @@ pub fn write_frame(w: &mut dyn Write, payload: &str) -> std::io::Result<()> {
     w.write_all(b"\n")
 }
 
+/// The largest frame payload the service accepts, in bytes. A longer
+/// declared length is a framing error, so a peer cannot make the reader
+/// buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Incremental frame parser over a growable byte buffer.
 ///
 /// Bytes are [`feed`](FrameReader::feed) in as they arrive (from any
 /// transport) and complete frames are pulled out with
-/// [`next_frame`](FrameReader::next_frame); partial frames simply wait
-/// for more bytes. This keeps the ingest loop free to poll a shutdown
-/// flag between reads instead of blocking inside one.
+/// [`next_payload`](FrameReader::next_payload), borrowed from the
+/// buffer; partial frames simply wait for more bytes. This keeps the
+/// ingest loop free to poll a shutdown flag between reads instead of
+/// blocking inside one.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -130,9 +146,11 @@ impl FrameReader {
         self.buf.len() == self.start
     }
 
-    /// Extracts the next complete frame, `Ok(None)` if more bytes are
-    /// needed, or an error for a malformed length header or frame body.
-    pub fn next_frame(&mut self) -> Result<Option<String>, ServeError> {
+    /// Extracts the next complete frame's payload, borrowed from the
+    /// buffer; `Ok(None)` if more bytes are needed, or an error for a
+    /// malformed length header, a frame over [`MAX_FRAME_BYTES`], or a
+    /// bad frame body.
+    pub fn next_payload(&mut self) -> Result<Option<&str>, ServeError> {
         let pending = &self.buf[self.start..];
         let Some(nl) = pending.iter().position(|&b| b == b'\n') else {
             if pending.len() > 32 {
@@ -147,6 +165,11 @@ impl FrameReader {
         let len: usize = header
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err("bad frame length header (expected ASCII decimal byte count)"))?;
+        if len > MAX_FRAME_BYTES {
+            return Err(err(format!(
+                "frame declares {len} bytes, over the {MAX_FRAME_BYTES}-byte limit"
+            )));
+        }
         // Header + payload + trailing newline must all be buffered.
         if pending.len() < nl + 1 + len + 1 {
             return Ok(None);
@@ -157,11 +180,14 @@ impl FrameReader {
                 "frame payload not followed by newline (declared length {len})"
             )));
         }
-        let payload = std::str::from_utf8(body)
-            .map_err(|_| err("frame payload is not UTF-8"))?
-            .to_string();
+        let payload = std::str::from_utf8(body).map_err(|_| err("frame payload is not UTF-8"))?;
         self.start += nl + 1 + len + 1;
         Ok(Some(payload))
+    }
+
+    /// [`next_payload`](FrameReader::next_payload), copied out.
+    pub fn next_frame(&mut self) -> Result<Option<String>, ServeError> {
+        Ok(self.next_payload()?.map(str::to_string))
     }
 }
 
@@ -196,35 +222,74 @@ pub enum Event {
 }
 
 /// Parses one frame payload into an [`Event`].
+///
+/// The whole document is validated, but only the first occurrence of
+/// each of `ev`, `src`, `via`, `id` and `k` is read, in one pass and
+/// without building a tree: a well-formed `pair` event allocates
+/// nothing. The numeric fields an event uses must be non-negative
+/// integers that fit their type (`src`/`via` u32, `id` u64, `k` usize).
 pub fn parse_event(payload: &str) -> Result<Event, ServeError> {
-    let doc = json::parse(payload).map_err(|e| err(format!("bad event JSON: {e}")))?;
-    let ev = doc
-        .get("ev")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("event missing string field `ev`"))?;
-    let field_u64 = |name: &str| -> Result<u64, ServeError> {
-        doc.get(name)
-            .and_then(Json::as_f64)
-            .map(|x| x as u64)
+    let (mut ev, mut src, mut via, mut id, mut k) = (None, None, None, None, None);
+    json::parse_object_fields(payload, &mut |key, value| {
+        let slot = match key {
+            "ev" => &mut ev,
+            "src" => &mut src,
+            "via" => &mut via,
+            "id" => &mut id,
+            "k" => &mut k,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    })
+    .map_err(|e| err(format!("bad event JSON: {e}")))?;
+    let Some(Field::Str(ev)) = ev else {
+        return Err(err("event missing string field `ev`"));
+    };
+    let host = |name: &str, value: Option<Field>| -> Result<HostId, ServeError> {
+        int_field(&ev, name, value)?
+            .map(HostId)
             .ok_or_else(|| err(format!("`{ev}` event missing numeric field `{name}`")))
     };
-    match ev {
+    match &*ev {
         "pair" => Ok(Event::Pair {
-            src: HostId(field_u64("src")? as u32),
-            via: HostId(field_u64("via")? as u32),
+            src: host("src", src)?,
+            via: host("via", via)?,
         }),
         "route" => Ok(Event::Route {
-            id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            src: HostId(field_u64("src")? as u32),
-            k: doc.get("k").and_then(Json::as_f64).unwrap_or(0.0) as usize,
+            id: int_field(&ev, "id", id)?.unwrap_or(0),
+            src: host("src", src)?,
+            k: int_field(&ev, "k", k)?.unwrap_or(0),
         }),
         "stats" => Ok(Event::Stats {
-            id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            id: int_field(&ev, "id", id)?.unwrap_or(0),
         }),
         other => Err(err(format!(
             "unknown event kind `{other}` (expected `pair`, `route`, or `stats`)"
         ))),
     }
+}
+
+/// Reads the integer field `name` of an `ev` event: `Ok(None)` when it
+/// is absent, an error naming it unless it is a non-negative integer
+/// that fits `T`.
+fn int_field<T: TryFrom<i128>>(
+    ev: &str,
+    name: &str,
+    value: Option<Field>,
+) -> Result<Option<T>, ServeError> {
+    let got = match value {
+        None => return Ok(None),
+        Some(Field::Other(Json::Int(i))) => match T::try_from(i) {
+            Ok(x) => return Ok(Some(x)),
+            Err(_) => Json::Int(i),
+        },
+        Some(Field::Other(other)) => other,
+        Some(Field::Str(s)) => Json::Str(s.into_owned()),
+    };
+    Err(err(format!(
+        "`{ev}` event field `{name}` must be a non-negative integer that fits in {}, got {got}",
+        std::any::type_name::<T>()
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1228,8 +1293,8 @@ fn ingest_stream(
     let mut frames = FrameReader::new();
     let mut eof = false;
     loop {
-        while let Some(payload) = frames.next_frame()? {
-            server.handle_payload(&payload, replies)?;
+        while let Some(payload) = frames.next_payload()? {
+            server.handle_payload(payload, replies)?;
         }
         if eof {
             if !frames.is_drained() {
@@ -1468,6 +1533,316 @@ mod tests {
         assert!(e.message.contains("`via`"), "{e}");
         let e = parse_event("{\"ev\":\"warp\"}").unwrap_err();
         assert!(e.message.contains("unknown event kind `warp`"), "{e}");
+    }
+
+    #[test]
+    fn event_integers_must_fit_their_type() {
+        let rejected = [
+            (r#"{"ev":"pair","src":-1,"via":2}"#, "`src`", "u32, got -1"),
+            (
+                r#"{"ev":"pair","src":4294967297,"via":2}"#,
+                "`src`",
+                "u32, got 4294967297",
+            ),
+            (
+                r#"{"ev":"pair","src":1,"via":2.7}"#,
+                "`via`",
+                "u32, got 2.7",
+            ),
+            (
+                r#"{"ev":"pair","src":1,"via":"2"}"#,
+                "`via`",
+                "u32, got \"2\"",
+            ),
+            (
+                r#"{"ev":"route","id":1,"src":3,"k":1e30}"#,
+                "`k`",
+                "usize, got 1",
+            ),
+            (
+                r#"{"ev":"route","id":1,"src":3,"k":-2}"#,
+                "`k`",
+                "usize, got -2",
+            ),
+            (
+                r#"{"ev":"route","id":1,"src":3,"k":"4"}"#,
+                "`k`",
+                "usize, got \"4\"",
+            ),
+            (r#"{"ev":"route","id":-1,"src":3}"#, "`id`", "u64, got -1"),
+            (
+                r#"{"ev":"stats","id":18446744073709551616}"#,
+                "`id`",
+                "u64, got 1844",
+            ),
+            (r#"{"ev":"stats","id":2.0}"#, "`id`", "u64, got 2.0"),
+            (r#"{"ev":"stats","id":null}"#, "`id`", "u64, got null"),
+            (
+                r#"{"ev":"pair","src":-1,"src":1,"via":2}"#,
+                "`src`",
+                "u32, got -1",
+            ),
+        ];
+        for (payload, field, got) in rejected {
+            let e = parse_event(payload).unwrap_err().message;
+            assert!(
+                e.contains(&format!("field {field} must be a non-negative integer")),
+                "{e}"
+            );
+            assert!(e.contains(got), "{payload}: {e}");
+        }
+        assert_eq!(
+            parse_event(r#"{"ev":"pair","src":4294967295,"via":-0,"src":-1}"#).unwrap(),
+            Event::Pair {
+                src: HostId(u32::MAX),
+                via: HostId(0)
+            }
+        );
+        assert_eq!(
+            parse_event(r#"{"ev":"route","id":18446744073709551615,"src":3,"k":4}"#).unwrap(),
+            Event::Route {
+                id: u64::MAX,
+                src: HostId(3),
+                k: 4
+            }
+        );
+        // Fields an event does not read are not checked.
+        assert!(parse_event(r#"{"ev":"pair","src":1,"via":2,"k":-1,"id":0.5}"#).is_ok());
+        // In band, a bad number is an error reply, never a pair.
+        let mut stream = Vec::new();
+        for (payload, _, _) in &rejected {
+            write_frame(&mut stream, payload).unwrap();
+        }
+        let mut replies = Vec::new();
+        let summary = run_events(
+            ServeConfig::default(),
+            std::io::Cursor::new(stream),
+            &mut replies,
+        )
+        .unwrap();
+        assert_eq!(summary.pairs, 0);
+        assert_eq!(summary.routes, 0);
+        let mut fr = FrameReader::new();
+        fr.feed(&replies);
+        let mut errors = 0;
+        while let Some(reply) = fr.next_payload().unwrap() {
+            assert!(reply.contains("\"ev\":\"error\""), "{reply}");
+            assert!(reply.contains("must be a non-negative integer"), "{reply}");
+            errors += 1;
+        }
+        assert_eq!(errors, rejected.len());
+    }
+
+    #[test]
+    fn oversized_frame_is_a_typed_error() {
+        let mut fr = FrameReader::new();
+        fr.feed(b"99999999999\n");
+        let e = fr.next_payload().unwrap_err().message;
+        assert!(e.contains("99999999999") && e.contains("1048576"), "{e}");
+        let mut fr = FrameReader::new();
+        fr.feed(format!("{}\n", MAX_FRAME_BYTES + 1).as_bytes());
+        assert!(fr.next_payload().is_err());
+        // A frame of exactly the limit is accepted.
+        let payload = "x".repeat(MAX_FRAME_BYTES);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        let mut fr = FrameReader::new();
+        fr.feed(&bytes);
+        assert_eq!(fr.next_payload().unwrap(), Some(payload.as_str()));
+    }
+
+    /// The tree-based decoder `parse_event` replaced, kept as the
+    /// reference the single-pass decoder is checked against.
+    fn reference_parse_event(payload: &str) -> Result<Event, ServeError> {
+        let doc = json::parse(payload).map_err(|e| err(format!("bad event JSON: {e}")))?;
+        let ev = doc
+            .get("ev")
+            .and_then(Json::as_str)
+            .ok_or_else(|| err("event missing string field `ev`"))?;
+        let field_u64 = |name: &str| -> Result<u64, ServeError> {
+            doc.get(name)
+                .and_then(Json::as_f64)
+                .map(|x| x as u64)
+                .ok_or_else(|| err(format!("`{ev}` event missing numeric field `{name}`")))
+        };
+        match ev {
+            "pair" => Ok(Event::Pair {
+                src: HostId(field_u64("src")? as u32),
+                via: HostId(field_u64("via")? as u32),
+            }),
+            "route" => Ok(Event::Route {
+                id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+                src: HostId(field_u64("src")? as u32),
+                k: doc.get("k").and_then(Json::as_f64).unwrap_or(0.0) as usize,
+            }),
+            "stats" => Ok(Event::Stats {
+                id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            }),
+            other => Err(err(format!(
+                "unknown event kind `{other}` (expected `pair`, `route`, or `stats`)"
+            ))),
+        }
+    }
+
+    /// What `parse_event` must return: the reference's result, except
+    /// that a numeric field the event reads (in the order it reads them)
+    /// holding anything but a non-negative integer that fits its type is
+    /// now an error naming it, where the reference cast it.
+    fn expected_event(payload: &str) -> Result<Event, String> {
+        let reference = reference_parse_event(payload).map_err(|e| e.message);
+        let Ok(doc) = json::parse(payload) else {
+            return reference;
+        };
+        let Some(ev) = doc.get("ev").and_then(Json::as_str) else {
+            return reference;
+        };
+        // (field, required, largest value, type name)
+        let fields: &[(&str, bool, u64, &str)] = match ev {
+            "pair" => &[
+                ("src", true, 0xFFFF_FFFF, "u32"),
+                ("via", true, 0xFFFF_FFFF, "u32"),
+            ],
+            "route" => &[
+                ("id", false, u64::MAX, "u64"),
+                ("src", true, 0xFFFF_FFFF, "u32"),
+                ("k", false, usize::MAX as u64, "usize"),
+            ],
+            "stats" => &[("id", false, u64::MAX, "u64")],
+            _ => &[],
+        };
+        for &(name, required, max, ty) in fields {
+            match doc.get(name) {
+                None if required => break,
+                None => {}
+                Some(&Json::Int(i)) if (0..=i128::from(max)).contains(&i) => {}
+                Some(v) => {
+                    return Err(format!(
+                        "`{ev}` event field `{name}` must be a non-negative integer that fits in {ty}, got {v}"
+                    ))
+                }
+            }
+        }
+        reference
+    }
+
+    #[test]
+    fn decoder_matches_the_tree_reference() {
+        use arq_simkern::rng::Rng64;
+        let mut corpus: Vec<String> = Vec::new();
+        let stream = render_event_stream(&trace(300, 3), 7);
+        let mut fr = FrameReader::new();
+        fr.feed(&stream);
+        while let Some(payload) = fr.next_payload().unwrap() {
+            corpus.push(payload.to_string());
+        }
+        corpus.extend(
+            [
+                r#"{"via":2,"src":1,"ev":"pair"}"#,
+                r#"{"ev":"pair","src":1,"via":2,"src":9,"via":8,"ev":"route"}"#,
+                r#"{"ev":1,"ev":"pair","src":1,"via":2}"#,
+                r#"{"ev":"pair","src":5,"via":6}"#,
+                r#"{"ev":"pair","src":5,"via":6}"#,
+                "\t{ \"ev\" :\n\"route\" , \"id\" : 7 ,\"src\":3 ,\"k\" :2 }\r\n",
+                r#"{"ev":"route","id":7,"src":3,"meta":{"a":[1,{"b":null}],"c":"\"}"}}"#,
+                r#"{"ev":"route","src":3,"k":[1],"id":{"n":1}}"#,
+                r#"{"ev":"stats"}"#,
+                r#"{"ev":"stats","id":"x"}"#,
+                r#"{"ev":"pair","src":"1","via":2}"#,
+                r#"{"ev":"pair","src":null,"via":2}"#,
+                r#"{"ev":"pair","src":1}"#,
+                r#"{"ev":"pair","src":-1}"#,
+                r#"{"ev":"route","id":-1,"k":-1}"#,
+                r#"{"ev":"route","src":1e3,"id":1.5}"#,
+                r#"{"ev":"pair","src":1,"via":2}[]"#,
+                r#"{"ev":"pair","src":1,"via":2,}"#,
+                r#"{"ev":"warp","src":1}"#,
+                r#"{"ev":"é😀"}"#,
+                r#"{"ev":"pair","src":1,"via":2,"note":"日本 \u0000 \ud83d"}"#,
+                r#"{}"#,
+                r#"[{"ev":"pair","src":1,"via":2}]"#,
+                r#""pair""#,
+                "null",
+                "42",
+                "",
+                "   ",
+            ]
+            .map(str::to_string),
+        );
+        let valid = [
+            corpus[0].clone(),
+            corpus[7].clone(),
+            r#"{"ev":"route","id":7,"src":3,"k":2,"x":[1,{"y":"é"}]}"#.to_string(),
+        ];
+        for payload in &valid {
+            for cut in (0..payload.len()).filter(|&cut| payload.is_char_boundary(cut)) {
+                corpus.push(payload[..cut].to_string());
+            }
+        }
+        let mut rng = Rng64::seed_from(0xDEC0DE);
+        const BYTES: &[u8] = b"{}[]\":,\\ -+0123456789.eEtrufalsn\n\tavdk";
+        for _ in 0..3_000 {
+            let mut bytes = rng.pick(&valid).clone().into_bytes();
+            let at = rng.index(bytes.len() + 1);
+            let b = *rng.pick(BYTES);
+            match rng.index(3) {
+                0 if at < bytes.len() => bytes[at] = b,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, b),
+            }
+            // Mutations inside a multibyte scalar are not a `&str`.
+            if let Ok(text) = String::from_utf8(bytes) {
+                corpus.push(text);
+            }
+        }
+        let mut checked = (0, 0);
+        for payload in &corpus {
+            let got = parse_event(payload).map_err(|e| e.message);
+            assert_eq!(got, expected_event(payload), "payload {payload:?}");
+            if got.is_ok() {
+                checked.0 += 1;
+            } else {
+                checked.1 += 1;
+            }
+        }
+        // Both outcomes are well represented.
+        assert!(checked.0 > 400 && checked.1 > 1_000, "{checked:?}");
+    }
+
+    #[test]
+    fn damaged_streams_never_panic() {
+        use arq_simkern::rng::Rng64;
+        let stream = render_event_stream(&trace(200, 9), 5);
+        let mut rng = Rng64::seed_from(0xF1A5);
+        for case in 0..300 {
+            let mut bytes = stream.clone();
+            if case % 2 == 0 {
+                bytes.truncate(rng.index(bytes.len()));
+            }
+            for _ in 0..rng.index(4) {
+                let at = rng.index(bytes.len().max(1));
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= 1 << rng.index(8);
+                }
+            }
+            let mut fr = FrameReader::new();
+            let mut fed = 0;
+            'feed: while fed < bytes.len() {
+                let n = (1 + rng.index(4_096)).min(bytes.len() - fed);
+                fr.feed(&bytes[fed..fed + n]);
+                fed += n;
+                loop {
+                    match fr.next_payload() {
+                        Ok(Some(payload)) => {
+                            let _ = parse_event(payload);
+                        }
+                        Ok(None) => break,
+                        Err(_) => break 'feed,
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,13 +12,23 @@
 //! * compact and pretty writers with shortest-round-trip float
 //!   formatting (`f64`'s `Display`);
 //! * a strict recursive-descent [`parse`] used by tests and tools to
-//!   read artifacts back;
+//!   read artifacts back, and [`parse_object_fields`], which validates a
+//!   document just as strictly but hands an object's top-level fields
+//!   straight to the caller, strings borrowed where they hold no
+//!   escapes, instead of building a tree (the `arq serve` event decoder);
 //! * [`ToJson`] — the conversion trait result types implement instead of
 //!   external-derive serialization.
 //!
-//! Not a general-purpose JSON library: no borrowed strings, no streaming,
-//! numbers are `i128`-or-`f64`. That is exactly enough for artifacts.
+//! Parsing is linear in the input: each run of a string between escapes
+//! is borrowed or copied whole. The writers escape `"`, `\`, and control
+//! characters and write every other character, non-ASCII included, raw
+//! as UTF-8; the parser decodes `\uXXXX` escapes, surrogate pairs
+//! included.
+//!
+//! Not a general-purpose JSON library: no streaming, numbers are
+//! `i128`-or-`f64`. That is exactly enough for artifacts.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects keep their insertion order.
@@ -336,11 +346,57 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 /// Parses a complete JSON document. Trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let bytes = text.as_bytes();
+    parse_document(text, parse_value)
+}
+
+/// A top-level field value as [`parse_object_fields`] hands it over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field<'a> {
+    /// A string, borrowed from the input when it holds no escapes.
+    Str(Cow<'a, str>),
+    /// Any other value, parsed in full.
+    Other(Json),
+}
+
+/// Parses a complete JSON document as strictly as [`parse`], with the
+/// same errors, and hands each top-level field of an object to `visit`
+/// in document order, duplicates included, without building the
+/// object. Any other document is validated and has no fields.
+///
+/// `visit` is a `dyn` callback so that the walk is compiled once, here,
+/// with its helpers inlined, whichever crate calls it.
+pub fn parse_object_fields<'a>(
+    text: &'a str,
+    visit: &mut dyn FnMut(&str, Field<'a>),
+) -> Result<(), ParseError> {
+    parse_document(text, |text, pos| {
+        let bytes = text.as_bytes();
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b'{') {
+            return parse_value(text, pos).map(drop);
+        }
+        parse_object(text, pos, |key, pos| {
+            skip_ws(bytes, pos);
+            let value = if bytes.get(*pos) == Some(&b'"') {
+                Field::Str(parse_string(text, pos)?)
+            } else {
+                Field::Other(parse_value(text, pos)?)
+            };
+            visit(&key, value);
+            Ok(())
+        })
+    })
+}
+
+/// Runs `value` over the whole of `text`; trailing garbage is an error.
+fn parse_document<'a, T>(
+    text: &'a str,
+    value: impl FnOnce(&'a str, &mut usize) -> Result<T, ParseError>,
+) -> Result<T, ParseError> {
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(ParseError::at(pos, "trailing characters"));
     }
     Ok(value)
@@ -391,14 +447,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), ParseError> 
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, ParseError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError::at(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(|s| Json::Str(s.into_owned())),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -408,7 +465,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -421,103 +478,174 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             }
         }
         Some(b'{') => {
-            *pos += 1;
             let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(ParseError::at(*pos, "expected `,` or `}`")),
-                }
-            }
+            parse_object(text, pos, |key, pos| {
+                fields.push((key.into_owned(), parse_value(text, pos)?));
+                Ok(())
+            })?;
+            Ok(Json::Obj(fields))
         }
         Some(_) => parse_number(bytes, pos),
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+/// Walks the object whose `{` is at `*pos`, handing each field's key to
+/// `field` with `*pos` at the field's value, which `field` must consume.
+fn parse_object<'a>(
+    text: &'a str,
+    pos: &mut usize,
+    mut field: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let bytes = text.as_bytes();
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(text, pos)?;
+        skip_ws(bytes, pos);
+        expect(bytes, pos, ":")?;
+        field(key, pos)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(ParseError::at(*pos, "expected `,` or `}`")),
+        }
+    }
+}
+
+/// Parses the string whose opening quote is at `*pos`. It is borrowed
+/// from `text` when it holds no escapes; otherwise each run between
+/// escapes is copied whole.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, ParseError> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(ParseError::at(*pos, "expected string"));
     }
     *pos += 1;
-    let mut out = String::new();
+    let mut out = Cow::Borrowed("");
     loop {
+        // `"` and `\` are ASCII, so a run ends on a UTF-8 boundary.
+        let run = *pos;
+        *pos += quote_or_backslash(&bytes[run..]);
+        let chunk = &text[run..*pos];
         match bytes.get(*pos) {
             None => return Err(ParseError::at(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| ParseError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| ParseError::at(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ParseError::at(*pos, "bad \\u escape"))?;
-                        // Surrogate pairs are unsupported (artifacts are
-                        // ASCII + BMP); map lone surrogates to U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
+                return Ok(match out {
+                    Cow::Borrowed(_) => Cow::Borrowed(chunk),
+                    Cow::Owned(mut s) => {
+                        s.push_str(chunk);
+                        Cow::Owned(s)
                     }
-                    _ => return Err(ParseError::at(*pos, "bad escape")),
-                }
-                *pos += 1;
+                });
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| ParseError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
+                let s = out.to_mut();
+                s.push_str(chunk);
+                *pos += 1;
+                s.push(match bytes.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'u') => parse_unicode_escape(bytes, pos)?,
+                    _ => return Err(ParseError::at(*pos, "bad escape")),
+                });
+                *pos += 1;
             }
         }
     }
 }
 
+/// The index of the first `"` or `\` in `bytes`, or its length. Eight
+/// bytes are tested at a time: a byte of `w ^ splat(c)` is zero where
+/// `w` holds `c`, and the lowest byte the zero-byte test flags is exact
+/// (its borrows only reach bytes above a zero byte).
+fn quote_or_backslash(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        let hits =
+            zero_bytes(w ^ (ONES * u64::from(b'"'))) | zero_bytes(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder();
+    at + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(tail.len())
+}
+
+/// Decodes the `\u` escape whose `u` is at `*pos`, leaving `*pos` on its
+/// last hex digit. A high surrogate followed by a `\u` low surrogate is
+/// one scalar; any other surrogate decodes to U+FFFD.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, ParseError> {
+    let high = hex4(bytes, *pos)?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&high) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+        // A bad second escape is left for the caller to report.
+        if let Ok(low @ 0xDC00..=0xDFFF) = hex4(bytes, *pos + 2) {
+            *pos += 6;
+            let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+            return Ok(char::from_u32(code).expect("a surrogate pair encodes a scalar"));
+        }
+    }
+    Ok(char::from_u32(high).unwrap_or('\u{FFFD}'))
+}
+
+/// The value of exactly four hex digits after the `u` at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, ParseError> {
+    let digits = bytes
+        .get(at + 1..at + 5)
+        .ok_or_else(|| ParseError::at(at, "truncated \\u escape"))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| ParseError::at(at, "bad \\u escape"))?;
+        Ok(code * 16 + digit)
+    })
+}
+
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
+    // Integers of up to 19 digits cannot overflow a u64, so they are
+    // accumulated as they are scanned instead of re-parsed as an i128.
+    let mut value = 0u64;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(*pos) {
+        value = value.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
         *pos += 1;
     }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
+    let digits = *pos - start - usize::from(negative);
+    let int_end = *pos;
+    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
+        *pos += 1;
+    }
+    let is_float = *pos > int_end;
+    if !is_float && (1..=19).contains(&digits) {
+        let value = i128::from(value);
+        return Ok(Json::Int(if negative { -value } else { value }));
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| ParseError::at(start, "invalid number"))?;
@@ -571,6 +699,25 @@ mod tests {
     }
 
     #[test]
+    fn short_integers_parse_as_i128_does() {
+        let mut cases: Vec<String> = ["0", "-0", "007", "-007", "1", "-1", "42"]
+            .map(str::to_string)
+            .to_vec();
+        for digits in 17..=20 {
+            cases.push("9".repeat(digits));
+            cases.push(format!("-{}", "9".repeat(digits)));
+            cases.push(format!("1{}", "0".repeat(digits - 1)));
+        }
+        cases.extend(
+            [i128::MAX, i128::MIN, i64::MAX as i128, u64::MAX as i128].map(|i| i.to_string()),
+        );
+        for text in cases {
+            let want = Json::Int(text.parse::<i128>().unwrap());
+            assert_eq!(parse(&text).unwrap(), want, "{text}");
+        }
+    }
+
+    #[test]
     fn parse_round_trips_nested_documents() {
         let text = r#"{"a": [1, 2.5, "x", {"b": null}], "c": false}"#;
         let v = parse(text).unwrap();
@@ -608,5 +755,235 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1}";
         let v = Json::from(s);
         assert_eq!(parse(&v.to_string()).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs_and_need_four_hex_digits() {
+        let decoded = |text: &str| parse(text).map(|v| v.as_str().unwrap().to_string());
+        assert_eq!(decoded(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(decoded(r#""a\uD83D\uDE00b""#).unwrap(), "a\u{1F600}b");
+        assert_eq!(decoded(r#""\u00e9\u20AC""#).unwrap(), "é€");
+        // Lone surrogates stay U+FFFD, and the escape after a lone high
+        // surrogate is decoded on its own.
+        assert_eq!(decoded(r#""\ud83d""#).unwrap(), "\u{FFFD}");
+        assert_eq!(decoded(r#""\ude00""#).unwrap(), "\u{FFFD}");
+        assert_eq!(decoded(r#""\ud83dx""#).unwrap(), "\u{FFFD}x");
+        assert_eq!(decoded(r#""\ud83d\u0041""#).unwrap(), "\u{FFFD}A");
+        assert_eq!(decoded(r#""\ude00\ud83d""#).unwrap(), "\u{FFFD}\u{FFFD}");
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(e.message, "bad \\u escape", "{text}");
+        }
+        assert_eq!(parse(r#""\u+041""#).unwrap_err().offset, 2);
+        assert_eq!(parse(r#""\ud83d\u+e00""#).unwrap_err().offset, 8);
+    }
+
+    /// `(document, offset, message)` for malformed documents, as the
+    /// character-at-a-time parser this module used to have reported them.
+    const MALFORMED: &[(&str, usize, &str)] = &[
+        ("", 0, "unexpected end of input"),
+        (" ", 1, "unexpected end of input"),
+        ("[1,]", 3, "expected a value"),
+        ("{\"a\" 1}", 5, "expected `:`"),
+        ("[1] x", 4, "trailing characters"),
+        ("{", 1, "expected string"),
+        ("{\"a\":", 5, "unexpected end of input"),
+        ("{\"a\":1,", 7, "expected string"),
+        ("{\"a\":1 \"b\":2}", 7, "expected `,` or `}`"),
+        ("{1:2}", 1, "expected string"),
+        ("[1 2]", 3, "expected `,` or `]`"),
+        ("\"abc", 4, "unterminated string"),
+        ("\"a\\", 3, "bad escape"),
+        ("\"a\\q\"", 3, "bad escape"),
+        ("\"\\u12\"", 2, "truncated \\u escape"),
+        ("\"\\u12", 2, "truncated \\u escape"),
+        ("\"\\uzzzz\"", 2, "bad \\u escape"),
+        ("\"\\u00é9\"", 2, "bad \\u escape"),
+        ("nul", 0, "expected `null`"),
+        ("tru", 0, "expected `true`"),
+        ("-", 0, "expected a value"),
+        ("--1", 0, "invalid float"),
+        ("1.2.3", 0, "invalid float"),
+        ("1e", 0, "invalid float"),
+        ("{\"k\":[1,{\"x\":}]}", 13, "expected a value"),
+        ("[\"é\", ]", 7, "expected a value"),
+        ("{\"é\":1,}", 8, "expected string"),
+        ("\"\\u0041\" x", 9, "trailing characters"),
+        ("{}}", 2, "trailing characters"),
+        ("[", 1, "unexpected end of input"),
+        ("]", 0, "expected a value"),
+        ("1 2", 2, "trailing characters"),
+        ("{\"a\":tru}", 5, "expected `true`"),
+        ("[nulll]", 5, "expected `,` or `]`"),
+        (
+            "999999999999999999999999999999999999999999",
+            0,
+            "invalid integer",
+        ),
+        ("\"ok\"\u{1}", 4, "trailing characters"),
+        ("\"\\ud83d\\uzzzz\"", 8, "bad \\u escape"),
+        ("\"\\ud83d\\u00", 8, "truncated \\u escape"),
+        ("\"\\ud83d", 7, "unterminated string"),
+        ("{\"ev\":\"pair\",\"src\":1,}", 21, "expected string"),
+        ("{\"ev\":\"pa\\ir\"}", 10, "bad escape"),
+        (
+            "  {\"a\":\"b\\\"c\"  ,  \"d\" : [ ] } ]",
+            30,
+            "trailing characters",
+        ),
+        ("{\"a\":\"\u{7f}\0\" \"b\"}", 10, "expected `,` or `}`"),
+        ("[\"日本\\n語\",\"x\\", 18, "bad escape"),
+        ("{\"\\u00e9\\u20AC\":\"€\" : 1}", 22, "expected `,` or `}`"),
+    ];
+
+    #[test]
+    fn malformed_documents_fail_where_they_always_did() {
+        for &(text, offset, message) in MALFORMED {
+            let want = ParseError::at(offset, message);
+            assert_eq!(parse(text).unwrap_err(), want, "parse {text:?}");
+            let walked = parse_object_fields(text, &mut |_, _| {});
+            assert_eq!(walked.unwrap_err(), want, "parse_object_fields {text:?}");
+        }
+    }
+
+    /// A seeded string over an alphabet of ASCII, multibyte UTF-8,
+    /// control characters and characters the writer escapes.
+    fn random_string(rng: &mut crate::rng::Rng64) -> String {
+        const ALPHABET: &[char] = &[
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '/',
+            '"',
+            '\\',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '€',
+            '日',
+            '\u{FFFD}',
+            '\u{FFFF}',
+            '\u{1F600}',
+            '\u{10FFFF}',
+        ];
+        let len = rng.index(12);
+        (0..len).map(|_| *rng.pick(ALPHABET)).collect()
+    }
+
+    /// Writes `s` as a JSON string that escapes a random subset of its
+    /// characters as `\uXXXX`, astral ones as surrogate pairs, so escape
+    /// runs start and end at every kind of character.
+    fn escape_randomly(s: &str, rng: &mut crate::rng::Rng64) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            if matches!(c, '"' | '\\') || (c as u32) < 0x20 || rng.chance(0.4) {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    if rng.chance(0.5) {
+                        let _ = write!(out, "\\u{unit:04x}");
+                    } else {
+                        let _ = write!(out, "\\u{unit:04X}");
+                    }
+                }
+            } else {
+                out.push(c);
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn random_value(rng: &mut crate::rng::Rng64, depth: usize) -> Json {
+        match rng.index(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(0.5)),
+            2 => Json::Int(rng.next_u64() as i128 - (1 << 40)),
+            3 => Json::Float(rng.f64() * 1e6 - 5e5),
+            4 => Json::Str(random_string(rng)),
+            5 => Json::Arr(
+                (0..rng.index(4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.index(4))
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn seeded_documents_round_trip() {
+        let mut rng = crate::rng::Rng64::seed_from(0x150_u64);
+        for case in 0..2_000 {
+            let v = random_value(&mut rng, 3);
+            for text in [v.to_string(), v.to_string_pretty()] {
+                assert_eq!(parse(&text).unwrap(), v, "case {case}: {text}");
+                let mut fields = Vec::new();
+                parse_object_fields(&text, &mut |key, field| {
+                    let value = match field {
+                        Field::Str(s) => Json::Str(s.into_owned()),
+                        Field::Other(value) => value,
+                    };
+                    fields.push((key.to_string(), value));
+                })
+                .unwrap();
+                match &v {
+                    Json::Obj(want) => assert_eq!(&fields, want, "case {case}: {text}"),
+                    _ => assert!(fields.is_empty(), "case {case}: {text}"),
+                }
+            }
+            let s = random_string(&mut rng);
+            let text = escape_randomly(&s, &mut rng);
+            assert_eq!(parse(&text).unwrap(), Json::Str(s), "case {case}: {text}");
+        }
+    }
+
+    #[test]
+    fn word_scan_finds_the_first_quote_or_backslash() {
+        let mut rng = crate::rng::Rng64::seed_from(0x5CA7);
+        // Bytes next to the targets in value, and every high byte, probe
+        // the borrow and sign corners of the zero-byte test.
+        const BYTES: &[u8] = &[
+            b'a', b'!', b'#', b'[', b']', 0x00, 0x01, 0x7f, 0x80, 0xa2, 0xdc, 0xff,
+        ];
+        for _ in 0..5_000 {
+            let len = rng.index(40);
+            let mut bytes: Vec<u8> = (0..len).map(|_| *rng.pick(BYTES)).collect();
+            for _ in 0..rng.index(3) {
+                if len > 0 {
+                    bytes[rng.index(len)] = *rng.pick(b"\"\\");
+                }
+            }
+            let want = bytes
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(len);
+            assert_eq!(quote_or_backslash(&bytes), want, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn unescaped_strings_are_borrowed() {
+        let text = r#"{"guid":"00ff","k\u0065y":"a\nb","n":[1]}"#;
+        let mut seen = Vec::new();
+        parse_object_fields(text, &mut |key, field| seen.push((key.to_string(), field))).unwrap();
+        assert_eq!(seen.len(), 3);
+        assert!(matches!(&seen[0].1, Field::Str(Cow::Borrowed("00ff"))));
+        assert_eq!(seen[1].0, "key");
+        assert!(matches!(&seen[1].1, Field::Str(Cow::Owned(s)) if s == "a\nb"));
+        assert_eq!(seen[2].1, Field::Other(Json::Arr(vec![Json::Int(1)])));
     }
 }
